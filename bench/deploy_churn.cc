@@ -44,15 +44,16 @@
 //     on-cloud's SLO verdicts are machine-checked — a breach fails the run.
 //
 // The hierarchical control-plane PR adds:
-//   - scale-out: the cell-partitioned router (per-cell schedulers over
-//     partitioned capacity) versus the single global scheduler at
-//     datacenter scale — 40,000 racks / 840,000 devices / 400 cells, one
-//     million tenants churned through a live window. Gated at >= 3x the
-//     baseline's aggregate deploys/sec (armed only at >= 100k devices), on
-//     byte-identical admit/reject decisions and pre-drain pool occupancy
-//     between the legs, and on the slo.sched.cell_place_p99 objective.
-//     Per-cell placement p99 lands in the JSON. `--scale-only` runs just
-//     this phase (the smoke-sized variant is its own ctest).
+//   - scale-out: the placement hierarchy partitioned into 400 cells
+//     (per-cell schedulers over partitioned capacity) versus the same
+//     hierarchy collapsed to one cell, at datacenter scale — 40,000 racks /
+//     840,000 devices, one million tenants churned through a live window.
+//     Gated at >= 3x the one-cell baseline's aggregate deploys/sec (armed
+//     only at >= 100k devices), on byte-identical admit/reject decisions
+//     and pre-drain pool occupancy between the legs, and on the
+//     slo.sched.cell_place_p99 objective. Per-cell placement p99 lands in
+//     the JSON. `--scale-only` runs just this phase (the smoke-sized
+//     variant is its own ctest).
 //
 // Writes BENCH_hotpath.json into the working directory. `--smoke` runs a
 // small configuration in a few hundred milliseconds; the CI wires it up as
@@ -483,7 +484,7 @@ ObsOverheadResult RunObsOverhead(int racks, int deploys, int window,
     udc::SloSpec spec;
     spec.name = "slo.sched.place_latency_p99";
     spec.kind = udc::SloSpec::SourceKind::kHistogramQuantile;
-    spec.source = "sched.place_latency_us";
+    spec.source = "sched.region_place_latency_us";
     spec.quantile = 0.99;
     spec.threshold = 500'000.0;  // half a wall-clock second per placement
     spec.window = udc::SimTime::Hours(24);
@@ -885,7 +886,7 @@ double MeasureEmptyTxnUs(int iterations) {
   udc::UdcCloudConfig cloud_config;
   cloud_config.datacenter.racks = 2;
   udc::UdcCloud cloud(cloud_config);
-  udc::PlacementEngine& engine = cloud.scheduler().engine();
+  udc::PlacementEngine& engine = cloud.region_router().engine();
 
   const double t0 = CpuSeconds();
   for (int i = 0; i < iterations; ++i) {
@@ -897,21 +898,22 @@ double MeasureEmptyTxnUs(int iterations) {
 
 // --- Scale-out phase: the hierarchical control plane at datacenter scale.
 //
-// One leg per control-plane shape — the legacy single scheduler over one
-// global index, and the cell-partitioned router over per-cell schedulers —
-// each churning the SAME deploy sequence (same specs, same order, same
-// live-window eviction) against its own cloud of identical geometry. The
-// full configuration registers >= 1M tenants over >= 100k devices; the
-// gate is aggregate deploys/sec >= 3x the single-scheduler baseline, armed
-// only at that scale (the smoke configuration runs the identical code but
-// is far too small for the baseline's O(racks) rack scan to hurt).
+// One leg per hierarchy shape — one cell spanning every rack, and the
+// datacenter partitioned into per-cell schedulers — each churning the SAME
+// deploy sequence (same specs, same order, same live-window eviction)
+// against its own cloud of identical geometry. The full configuration
+// registers >= 1M tenants over >= 100k devices; the gate is aggregate
+// deploys/sec >= 3x the one-cell baseline, armed only at that scale (the
+// smoke configuration runs the identical code but is far too small for the
+// baseline's O(racks) rack scan to hurt).
 //
 // The baseline doubles as a differential oracle: both legs must make
 // byte-identical per-deploy admit/reject decisions (FNV-1a hash over the
 // outcome stream) and end the churn with byte-identical per-pool allocated
-// totals. Per-cell placement p99 comes from the router's interned
-// sched.cell_place_latency_us sketches, and the slo.sched.cell_place_p99
-// objective is machine-checked on the cells leg.
+// totals. Placement percentiles come from the router's unlabelled
+// sched.region_place_latency_us aggregate, per-cell p99 from its
+// sched.cell_place_latency_us{cell} sketches, and the
+// slo.sched.cell_place_p99 objective is machine-checked on the cells leg.
 
 struct ScaleLeg {
   long long deploys = 0;
@@ -1026,12 +1028,13 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
   {
     udc::UdcCloudConfig config;
     config.datacenter.racks = racks;
+    config.datacenter.cells = 1;
     config.scheduler.use_placement_index = true;
     config.scheduler.record_place_latency = true;
     udc::UdcCloud cloud(config);
     result.baseline = RunScaleLeg(cloud, deploys, window, specs);
-    if (const udc::MetricHistogram* h =
-            cloud.sim()->metrics().histogram("sched.place_latency_us")) {
+    if (const udc::MetricHistogram* h = cloud.sim()->metrics().histogram(
+            "sched.region_place_latency_us")) {
       result.baseline.p50_us = h->Quantile(0.5);
       result.baseline.p99_us = h->Quantile(0.99);
     }
@@ -1047,28 +1050,28 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
       udc::SloSpec spec;
       spec.name = "slo.sched.cell_place_p99";
       spec.kind = udc::SloSpec::SourceKind::kHistogramQuantile;
-      spec.source = "sched.cell_place_latency_us";
+      spec.source = "sched.region_place_latency_us";
       spec.quantile = 0.99;
       spec.threshold = 500'000.0;  // sanity bound, not a tight budget
       spec.window = udc::SimTime::Hours(24);
       cloud.sim()->slos().AddObjective(std::move(spec));
     }
     result.cells = RunScaleLeg(cloud, deploys, window, specs);
-    if (const udc::MetricHistogram* h =
-            cloud.sim()->metrics().histogram("sched.cell_place_latency_us")) {
+    if (const udc::MetricHistogram* h = cloud.sim()->metrics().histogram(
+            "sched.region_place_latency_us")) {
       result.cells.p50_us = h->Quantile(0.5);
       result.cells.p99_us = h->Quantile(0.99);
     }
-    udc::CellRouter* router = cloud.cell_router();
-    for (int c = 0; c < router->cell_count(); ++c) {
-      result.cell_deploys.push_back(router->CellDeploys(c));
+    const udc::RegionRouter& router = cloud.region_router();
+    for (int c = 0; c < router.cell_count(); ++c) {
+      result.cell_deploys.push_back(router.CellDeploys(c));
       const udc::MetricHistogram* h = cloud.sim()->metrics().histogram(
           "sched.cell_place_latency_us",
           {{"cell", udc::StrFormat("%d", c)}});
       result.cell_p99_us.push_back(h != nullptr ? h->Quantile(0.99) : 0.0);
     }
-    result.cross_cell_deploys = router->cross_cell_deploys();
-    result.cell_fallbacks = router->cell_fallbacks();
+    result.cross_cell_deploys = router.cross_cell_deploys();
+    result.cell_fallbacks = router.cell_fallbacks();
     cloud.sim()->slos().EvaluateNow(cloud.sim()->now());
     result.slo_ok = cloud.sim()->slos().AllOk();
     result.slo_report = cloud.sim()->slos().Report();
@@ -1090,32 +1093,21 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
 
 // --- Federation phase: the region-partitioned control plane over a WAN.
 //
-// Three legs. The differential pair runs the SAME deploy sequence against
-// the cells-only router and against the region router with regions=1 over
-// identical geometry — the region layer collapsed to one region must make
-// byte-identical admit/reject decisions (FNV-1a over the outcome stream)
-// and end with byte-identical pool occupancy, the same contract the scale
-// phase holds between the single scheduler and the cell router. The
-// federated leg then runs 4 regions over an asymmetric WAN link matrix
+// The federated leg runs 4 regions over an asymmetric WAN link matrix
 // with deliberately skewed tenant demand (60% of deploys pinned to region
 // 0 via the dist region affinity aspect) and the content-addressed env
 // store on: keep-warm churn banks warm images in the hot region, deploys
 // routed to the cold regions pull them back over the WAN (remote-tier
 // starts, pull-through replication), and a pinned abort tail exhausts the
 // hot region so rolled-back cross-region deploys exercise exact refunds.
-// Gates: differential identical, clean drains, zero refund violations,
-// WAN + remote tiers actually exercised, and the machine-checked
-// slo.sched.region_place_p99 objective.
+// Gates: clean drain, zero refund violations, WAN + remote tiers actually
+// exercised, and the machine-checked slo.sched.region_place_p99 objective.
 
 struct FederationResult {
   int racks = 0;
   int cell_count = 0;
   int region_count = 0;
   int live_window = 0;
-  ScaleLeg cells_leg;    // cells-only oracle
-  ScaleLeg region1_leg;  // region router, regions = 1
-  bool decisions_match = false;
-  bool occupancy_match = false;
 
   long long fed_deploys = 0;
   long long fed_failures = 0;
@@ -1170,7 +1162,6 @@ udc::AppSpec PinDataToRegion(const udc::AppSpec& base, int region) {
 FederationResult RunFederationPhase(
     int racks, int cells, int regions, int deploys, int window,
     int abort_tail,
-    const std::vector<std::shared_ptr<const udc::AppSpec>>& shared_specs,
     const std::vector<udc::AppSpec>& specs,
     const std::vector<udc::AppSpec>& heavy_specs) {
   FederationResult result;
@@ -1178,31 +1169,6 @@ FederationResult RunFederationPhase(
   result.cell_count = cells;
   result.region_count = regions;
   result.live_window = window;
-
-  // Differential pair: cells-only vs regions=1, same sequence.
-  {
-    udc::UdcCloudConfig config;
-    config.datacenter.racks = racks;
-    config.datacenter.cells = cells;
-    config.scheduler.use_placement_index = true;
-    udc::UdcCloud cloud(config);
-    result.cells_leg = RunScaleLeg(cloud, deploys, window, shared_specs);
-  }
-  {
-    udc::UdcCloudConfig config;
-    config.datacenter.racks = racks;
-    config.datacenter.cells = cells;
-    config.datacenter.regions = 1;
-    config.scheduler.use_placement_index = true;
-    udc::UdcCloud cloud(config);
-    result.region1_leg = RunScaleLeg(cloud, deploys, window, shared_specs);
-  }
-  result.decisions_match =
-      result.cells_leg.decision_hash == result.region1_leg.decision_hash &&
-      result.cells_leg.deploys == result.region1_leg.deploys &&
-      result.cells_leg.failures == result.region1_leg.failures;
-  result.occupancy_match = result.cells_leg.allocated_pre_drain ==
-                           result.region1_leg.allocated_pre_drain;
 
   // Federated leg: N regions, asymmetric WAN, skewed demand, env store on.
   udc::UdcCloudConfig config;
@@ -1326,14 +1292,14 @@ FederationResult RunFederationPhase(
   }
   cloud.sim()->RunToCompletion();
 
-  udc::RegionRouter* router = cloud.region_router();
-  for (int r = 0; r < router->region_count(); ++r) {
-    result.region_deploys.push_back(router->RegionDeploys(r));
+  const udc::RegionRouter& router = cloud.region_router();
+  for (int r = 0; r < router.region_count(); ++r) {
+    result.region_deploys.push_back(router.RegionDeploys(r));
     result.wan_bytes_out.push_back(cloud.fabric().wan_bytes_out(r));
     result.wan_bytes_in.push_back(cloud.fabric().wan_bytes_in(r));
   }
-  result.cross_region_deploys = router->cross_region_deploys();
-  result.region_fallbacks = router->region_fallbacks();
+  result.cross_region_deploys = router.cross_region_deploys();
+  result.region_fallbacks = router.region_fallbacks();
   result.wan_messages =
       static_cast<long long>(cloud.fabric().wan_messages_sent());
   result.wan_bytes = cloud.fabric().wan_bytes_sent();
@@ -1357,14 +1323,6 @@ FederationResult RunFederationPhase(
 void PrintFederation(const FederationResult& f) {
   std::printf("federation: %d racks / %d cells / %d regions, window %d\n",
               f.racks, f.cell_count, f.region_count, f.live_window);
-  std::printf("  differential (cells vs regions=1): decisions %s "
-              "(%016llx / %016llx), occupancy %s, drain %s/%s\n",
-              f.decisions_match ? "match" : "DIVERGED",
-              static_cast<unsigned long long>(f.cells_leg.decision_hash),
-              static_cast<unsigned long long>(f.region1_leg.decision_hash),
-              f.occupancy_match ? "match" : "DIVERGED",
-              f.cells_leg.clean_after_drain ? "clean" : "DIRTY",
-              f.region1_leg.clean_after_drain ? "clean" : "DIRTY");
   std::printf("  federated: %lld deploys / %lld failed, %lld cross-region, "
               "%lld module spills, %lld refund violations, drain %s\n",
               f.fed_deploys, f.fed_failures, f.cross_region_deploys,
@@ -1385,17 +1343,7 @@ void PrintFederation(const FederationResult& f) {
 // Federation gates, shared by the full run and --federation-only.
 bool CheckFederationGates(const FederationResult& f) {
   bool ok = true;
-  if (!f.decisions_match || !f.occupancy_match) {
-    std::fprintf(stderr,
-                 "FAIL: region router with regions=1 diverged from the "
-                 "cells-only router (hashes %016llx / %016llx)\n",
-                 static_cast<unsigned long long>(f.cells_leg.decision_hash),
-                 static_cast<unsigned long long>(
-                     f.region1_leg.decision_hash));
-    ok = false;
-  }
-  if (!f.cells_leg.clean_after_drain || !f.region1_leg.clean_after_drain ||
-      !f.fed_clean) {
+  if (!f.fed_clean) {
     std::fprintf(stderr, "FAIL: federation phase leaked state after drain\n");
     ok = false;
   }
@@ -1444,9 +1392,6 @@ void EmitFederationSection(FILE* f, const FederationResult& fed) {
                "    \"cell_count\": %d,\n"
                "    \"region_count\": %d,\n"
                "    \"live_window\": %d,\n"
-               "    \"differential\": {\"cells_hash\": \"%016llx\", "
-               "\"region1_hash\": \"%016llx\", \"decisions_match\": %s, "
-               "\"occupancy_match\": %s},\n"
                "    \"deploys\": %lld,\n"
                "    \"failures\": %lld,\n"
                "    \"refund_violations\": %lld,\n"
@@ -1461,10 +1406,7 @@ void EmitFederationSection(FILE* f, const FederationResult& fed) {
                "    \"clean_after_drain\": %s,\n"
                "    \"per_region\": [",
                fed.racks, fed.cell_count, fed.region_count, fed.live_window,
-               static_cast<unsigned long long>(fed.cells_leg.decision_hash),
-               static_cast<unsigned long long>(fed.region1_leg.decision_hash),
-               fed.decisions_match ? "true" : "false",
-               fed.occupancy_match ? "true" : "false", fed.fed_deploys,
+               fed.fed_deploys,
                fed.fed_failures, fed.refund_violations,
                fed.cross_region_deploys, fed.region_fallbacks,
                fed.wan_messages, fed.wan_bytes, fed.remote_starts,
@@ -1576,7 +1518,7 @@ bool CheckScaleGates(const ScaleResult& s) {
   if (s.gate_armed && s.speedup < 3.0) {
     std::fprintf(stderr,
                  "FAIL: cell-partitioned control plane %.2fx the "
-                 "single-scheduler baseline at %lld devices, gate is 3x\n",
+                 "one-cell baseline at %lld devices, gate is 3x\n",
                  s.speedup, s.cells.devices);
     ok = false;
   }
@@ -1840,7 +1782,7 @@ int main(int argc, char** argv) {
   // Full scale: 40000 racks = 840,000 devices in 400 cells (100 racks /
   // 2,100 devices per cell), one million tenants churned through a live
   // window. The rack count sets the baseline's O(racks) per-pick cost; at
-  // this size the single scheduler's rack scan dwarfs the shared
+  // this size the one-cell rack scan dwarfs the shared
   // per-deploy floor (~30us of tenant/env/window bookkeeping both legs
   // pay), which is what the 3x aggregate gate is measuring. Smoke runs
   // the identical code a few thousand times smaller.
@@ -1868,7 +1810,7 @@ int main(int argc, char** argv) {
                 smoke ? " (smoke)" : "");
     const FederationResult fed = RunFederationPhase(
         fed_racks, fed_cells, fed_regions, fed_deploys, fed_window,
-        fed_abort_tail, shared_specs, specs, heavy_specs);
+        fed_abort_tail, specs, heavy_specs);
     PrintFederation(fed);
     WriteFederationOnlyJson(smoke, fed);
     return CheckFederationGates(fed) ? 0 : 1;
@@ -1994,7 +1936,7 @@ int main(int argc, char** argv) {
 
   const FederationResult fed = RunFederationPhase(
       fed_racks, fed_cells, fed_regions, fed_deploys, fed_window,
-      fed_abort_tail, shared_specs, specs, heavy_specs);
+      fed_abort_tail, specs, heavy_specs);
   PrintFederation(fed);
 
   WriteJson(config, smoke, linear, indexed, batched, batch_size, abort,

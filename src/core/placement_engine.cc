@@ -13,6 +13,27 @@ Status ReleasePoolAllocation(DisaggregatedDatacenter* datacenter,
   return pool->Release(allocation);
 }
 
+bool RequiresExclusiveCompute(const AspectSet& aspects) {
+  return aspects.exec.tenancy == TenancyMode::kSingleTenant ||
+         aspects.exec.isolation >= IsolationLevel::kStrong;
+}
+
+AllocationConstraints ConstraintsFor(const AspectSet& aspects,
+                                     ModuleKind module_kind,
+                                     ResourceKind resource, int rack,
+                                     int cell) {
+  AllocationConstraints constraints;
+  constraints.preferred_rack = rack;
+  if (cell >= 0) {
+    constraints.preferred_cell = cell;
+    constraints.strict_cell = true;
+  }
+  const bool compute = IsComputeKind(resource);
+  constraints.single_device = compute || module_kind == ModuleKind::kData;
+  constraints.require_exclusive = compute && RequiresExclusiveCompute(aspects);
+  return constraints;
+}
+
 PlacementEngine::PlacementEngine(Simulation* sim,
                                  DisaggregatedDatacenter* datacenter,
                                  EnvManager* env_manager,

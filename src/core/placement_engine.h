@@ -19,10 +19,12 @@
 #include <string>
 #include <string_view>
 
+#include "src/aspects/aspects.h"
 #include "src/attest/attestation_service.h"
 #include "src/core/placement_txn.h"
 #include "src/exec/env_manager.h"
 #include "src/hw/datacenter.h"
+#include "src/ir/module_graph.h"
 #include "src/sim/simulation.h"
 
 namespace udc {
@@ -34,6 +36,23 @@ namespace udc {
 // through PlacementTxn.
 Status ReleasePoolAllocation(DisaggregatedDatacenter* datacenter,
                              const PoolAllocation& allocation);
+
+// Whether `aspects` ask for a module's compute on devices no other tenant
+// shares: tenancy=single, or isolation strong enough to rule out hardware
+// side channels (paper sec. 3.3).
+bool RequiresExclusiveCompute(const AspectSet& aspects);
+
+// The one place a module's aspects become pool-allocation constraints, used
+// at admission (the scheduler) and again whenever a slice is re-placed
+// (repair), so a declared aspect holds for the deployment's whole life.
+// `resource` is the slice's resource kind, `rack` the preferred rack, and
+// `cell` >= 0 confines the slice to that control-plane cell. Compute slices
+// and data replicas land on a single device; compute slices are exclusive
+// when RequiresExclusiveCompute. Callers append their own avoid lists.
+AllocationConstraints ConstraintsFor(const AspectSet& aspects,
+                                     ModuleKind module_kind,
+                                     ResourceKind resource, int rack,
+                                     int cell = -1);
 
 class PlacementEngine {
  public:

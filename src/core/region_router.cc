@@ -12,8 +12,10 @@ namespace udc {
 
 namespace {
 
-// Same routing key as CellRouter: cpu-blade headroom tracks overall
-// pressure; specs dominated by another kind spill through the fallbacks.
+// Routing keys off cpu-blade headroom: every task DAG demands cpu, so the
+// cpu partition tracks overall region and cell pressure. Specs dominated by
+// another kind still land correctly — the home cell's rejection spills them
+// through the candidate ladder.
 constexpr DeviceKind kRoutingKind = DeviceKind::kCpuBlade;
 
 }  // namespace
@@ -29,37 +31,45 @@ RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
       cross_region_deploys_(
           sim->metrics().CounterSeries("sched.cross_region_deploys")),
       region_fallbacks_(
-          sim->metrics().CounterSeries("sched.region_fallbacks")) {
+          sim->metrics().CounterSeries("sched.region_fallbacks")),
+      cross_cell_deploys_(
+          sim->metrics().CounterSeries("sched.cross_cell_deploys")),
+      cell_fallbacks_(sim->metrics().CounterSeries("sched.cell_fallbacks")) {
   const Topology& topology = datacenter->topology();
   const int cells = topology.cell_count();
-  assert(region_count_ > 0 && "RegionRouter requires a regioned topology");
-  assert(cells > 0 && "RegionRouter requires a cell-partitioned topology");
-  cells_.reserve(static_cast<size_t>(cells));
-  for (int c = 0; c < cells; ++c) {
-    SchedulerConfig config = base;
-    config.cell = c;
-    // The cell schedulers never open their own deploy transactions (the
-    // router's engine owns those); routed latency is recorded here.
-    config.record_place_latency = false;
-    cells_.push_back(std::make_unique<UdcScheduler>(
-        sim, datacenter, fabric, env_manager, attestation, prices, config));
-  }
-  region_deploys_.reserve(static_cast<size_t>(region_count_));
-  region_span_sets_.reserve(static_cast<size_t>(region_count_));
+  assert(region_count_ > 0 && cells > 0 &&
+         "RegionRouter needs at least one region and one cell");
   if (record_place_latency_) {
+    // Sketch mode: SLOs window these series, and a bounded bucket array
+    // keeps million-deploy runs at fixed memory.
     place_latency_us_ =
         sim->metrics().EnableSketchHistogram("sched.region_place_latency_us");
-    region_place_latency_us_.reserve(static_cast<size_t>(region_count_));
   }
+  region_deploys_.reserve(static_cast<size_t>(region_count_));
   for (int r = 0; r < region_count_; ++r) {
     const MetricLabels labels = {{"region", StrFormat("%d", r)}};
     region_deploys_.push_back(
         sim->metrics().CounterSeries("sched.region_deploys", labels));
-    region_span_sets_.push_back(
-        sim->spans().InternLabelSet({{"region", StrFormat("%d", r)}}));
     if (record_place_latency_) {
       region_place_latency_us_.push_back(sim->metrics().EnableSketchHistogram(
           "sched.region_place_latency_us", labels));
+    }
+  }
+  cells_.reserve(static_cast<size_t>(cells));
+  cell_deploys_.reserve(static_cast<size_t>(cells));
+  cell_span_sets_.reserve(static_cast<size_t>(cells));
+  for (int c = 0; c < cells; ++c) {
+    cells_.push_back(
+        std::make_unique<UdcScheduler>(sim, datacenter, fabric, prices, c, base));
+    const MetricLabels labels = {{"cell", StrFormat("%d", c)}};
+    cell_deploys_.push_back(
+        sim->metrics().CounterSeries("sched.cell_deploys", labels));
+    cell_span_sets_.push_back(sim->spans().InternLabelSet(
+        {{"region", StrFormat("%d", topology.RegionOf(c))},
+         {"cell", StrFormat("%d", c)}}));
+    if (record_place_latency_) {
+      cell_place_latency_us_.push_back(sim->metrics().EnableSketchHistogram(
+          "sched.cell_place_latency_us", labels));
     }
   }
 }
@@ -94,6 +104,18 @@ int64_t RegionRouter::cross_region_deploys() const {
 
 int64_t RegionRouter::region_fallbacks() const {
   return sim_->metrics().value(region_fallbacks_);
+}
+
+int64_t RegionRouter::CellDeploys(int c) const {
+  return sim_->metrics().value(cell_deploys_[static_cast<size_t>(c)]);
+}
+
+int64_t RegionRouter::cross_cell_deploys() const {
+  return sim_->metrics().value(cross_cell_deploys_);
+}
+
+int64_t RegionRouter::cell_fallbacks() const {
+  return sim_->metrics().value(cell_fallbacks_);
 }
 
 int RegionRouter::RouteRegion(const AppSpec& spec) const {
@@ -233,12 +255,13 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
     TenantId tenant, std::shared_ptr<const AppSpec> shared_spec,
     UdcScheduler::BatchContext* batch) {
   const AppSpec& spec = *shared_spec;
-  // Wall-clock routed-placement cost, observed on every exit path into the
-  // aggregate and home-region sketches (slo.sched.region_place_p99's
-  // source). Guarded like CellRouter's latency scope.
+  // Wall-clock routed-placement cost, observed once per deploy on every
+  // exit path into the aggregate and the home region's and home cell's
+  // sketches. Runs without record_place_latency never touch the host clock.
   struct LatencyScope {
     RegionRouter* router;
-    int home = -1;
+    int home_region = -1;
+    int home_cell = -1;
     std::chrono::steady_clock::time_point start;
     explicit LatencyScope(RegionRouter* r) : router(r) {
       if (router->record_place_latency_) {
@@ -246,15 +269,21 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
       }
     }
     ~LatencyScope() {
-      if (router->record_place_latency_) {
-        const auto elapsed = std::chrono::steady_clock::now() - start;
-        const double us =
-            std::chrono::duration<double, std::micro>(elapsed).count();
-        router->sim_->metrics().Observe(router->place_latency_us_, us);
-        if (home >= 0) {
-          router->sim_->metrics().Observe(
-              router->region_place_latency_us_[static_cast<size_t>(home)], us);
-        }
+      if (!router->record_place_latency_) {
+        return;
+      }
+      const auto elapsed = std::chrono::steady_clock::now() - start;
+      const double us =
+          std::chrono::duration<double, std::micro>(elapsed).count();
+      MetricsRegistry& metrics = router->sim_->metrics();
+      metrics.Observe(router->place_latency_us_, us);
+      if (home_region >= 0) {
+        metrics.Observe(
+            router->region_place_latency_us_[static_cast<size_t>(home_region)],
+            us);
+        metrics.Observe(
+            router->cell_place_latency_us_[static_cast<size_t>(home_cell)],
+            us);
       }
     }
   } latency_scope(this);
@@ -267,28 +296,46 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
   const Topology& topology = datacenter_->topology();
   const int home_region = RouteRegion(spec);
   const int home_cell = RouteCellInRegion(home_region);
-  latency_scope.home = home_region;
+  latency_scope.home_region = home_region;
+  latency_scope.home_cell = home_cell;
 
-  uint64_t span_id = 0;
+  // The per-deploy span (batched deploys ride the batch span) is pushed as
+  // the current scope while modules are placed, so the txn and placement
+  // spans parent under it. Interned labels and a reused scope stack: no
+  // allocation per deploy.
+  struct DeploySpan {
+    SpanTracer& spans;
+    uint64_t id = 0;
+    ~DeploySpan() {
+      if (id != 0) {
+        spans.PopScope(id);
+        spans.End(id);
+      }
+    }
+  } deploy_span{sim_->spans()};
   if (batch == nullptr) {
-    span_id = sim_->spans().BeginWithSet(
+    deploy_span.id = sim_->spans().BeginWithSet(
         "sched", "sched.deploy",
-        region_span_sets_[static_cast<size_t>(home_region)]);
+        cell_span_sets_[static_cast<size_t>(home_cell)]);
+    sim_->spans().PushScope(deploy_span.id);
   }
   auto deployment = std::make_unique<Deployment>(
       tenant, std::move(shared_spec), datacenter_, sim_->now(),
       engine_.env_manager(), engine_.attestation());
   PlacementTxn txn = engine_.Begin("deploy");
   bool spanned_regions = false;
+  bool spanned_cells = false;
 
+  // On any failure: abort the transaction (undoing every staged
+  // allocation, launch and provision across all modules and cells), then
+  // abandon the partial deployment so its teardown does not double-release
+  // what the abort already returned. A batch's cached rack capacities are
+  // stale after an abort (the cached debits were undone), so drop them.
   const auto fail = [&](Status status) -> Status {
     txn.Abort();
     deployment->Abandon();
     if (batch != nullptr) {
       batch->free_by_rack_valid.fill(false);
-    }
-    if (span_id != 0) {
-      sim_->spans().End(span_id);
     }
     return status;
   };
@@ -316,6 +363,10 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
       status = cells_[static_cast<size_t>(c)]->PlaceModuleInTxn(
           tenant, spec, module, is_data, deployment.get(), txn, batch);
       if (status.ok()) {
+        if (c != home_cell) {
+          spanned_cells = true;
+          sim_->metrics().Increment(cell_fallbacks_);
+        }
         if (topology.RegionOf(c) != home_region) {
           spanned_regions = true;
           sim_->metrics().Increment(region_fallbacks_);
@@ -331,8 +382,8 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
     return status;  // the last candidate's rejection
   };
 
-  // Same admission order as UdcScheduler::DeployOne and CellRouter: data
-  // modules first, then tasks topologically.
+  // Data modules first (tasks want to land near their data), then tasks in
+  // topological order so DAG-neighbour locality can chain.
   for (const ModuleId data : spec.graph.DataIds()) {
     Status status = place(data, /*is_data=*/true);
     if (!status.ok()) {
@@ -349,24 +400,20 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
       return fail(std::move(status));
     }
   }
-  const Status committed = txn.Commit();
-  if (!committed.ok()) {
-    if (span_id != 0) {
-      sim_->spans().End(span_id);
-    }
-    return committed;
-  }
+  UDC_RETURN_IF_ERROR(txn.Commit());
 
   sim_->metrics().Increment(region_deploys_[static_cast<size_t>(home_region)]);
+  sim_->metrics().Increment(cell_deploys_[static_cast<size_t>(home_cell)]);
   if (spanned_regions) {
     sim_->metrics().Increment(cross_region_deploys_);
   }
-  if (span_id != 0) {
-    sim_->spans().End(span_id);
+  if (spanned_cells) {
+    sim_->metrics().Increment(cross_cell_deploys_);
   }
   UDC_LOG(Info) << "deployed " << spec.graph.app_name() << " for tenant "
                 << tenant.value() << " in region " << home_region << " cell "
-                << home_cell << (spanned_regions ? " (+remote leg)" : "");
+                << home_cell << (spanned_regions ? " (+remote leg)" : "")
+                << (spanned_cells ? " (+spill)" : "");
   return deployment;
 }
 

@@ -1,14 +1,16 @@
-// Region federation: a region-level router above the cell hierarchy.
+// The placement hierarchy: one router over regions, cells and racks.
 //
-// The topology's cells are partitioned into regions (Topology::
-// SetRegionCount); the region router is the top of the placement hierarchy
-// in a federated world:
+// RegionRouter is the one deploy path — UdcCloud always builds it. The
+// topology's racks are partitioned into cells (Topology::SetCellCount) and
+// the cells into regions (Topology::SetRegionCount); an unpartitioned
+// datacenter is one region holding one cell. Each cell gets its own
+// UdcScheduler over a private slice of the FreeCapacityIndex, so every rack
+// pick is O(racks/cells). The router above them:
 //
 //   * routes each deploy to a home region using the index's per-region
 //     healthy free totals (FreeCapacityIndex::region_free — maintained by
-//     the same commit/release deltas as the cell summaries, never by
-//     rescans), then to a home cell inside that region by the per-cell
-//     summaries;
+//     commit/release deltas, never by rescans), then to a home cell inside
+//     that region by the per-cell summaries;
 //   * honors region affinity/anti-affinity from the udcl dist aspect
 //     (`aspect m dist region=N` pins a module's candidate cells to region
 //     N; `avoid_region=N` strikes region N from its candidate list);
@@ -16,14 +18,17 @@
 //     home cell rejects unwinds its partial sub-plan with
 //     PlacementTxn::AbortTo and retries across the home region's other
 //     cells, then across the remaining regions in free-capacity order —
-//     a failed remote leg unwinds exactly, and a module no region admits
+//     a failed remote leg unwinds exactly, and a module no cell admits
 //     aborts the full transaction in reverse staging order.
 //
-// Determinism contract: with regions <= 1 the router's candidate order
-// degenerates to exactly CellRouter's (home cell = argmax cell_free, ties
-// low; fallbacks by free desc, cell asc), so the admit/reject stream is
-// hash-identical to the cells-only path — deploy_churn's federation phase
-// and tests/region_router_test.cc gate on it.
+// Determinism contract: the candidate order is a pure function of the
+// delta-maintained summaries (home cell = argmax free, ties low; fallbacks
+// by free desc, index asc), so a deploy stream's admit/reject decisions are
+// reproducible run to run. On specs whose admission is count-based (uniform
+// demands), every cells x regions geometry makes the same decisions and
+// ends with the same pool occupancy as the single whole-datacenter
+// scheduler this router replaced; tests/region_router_test.cc pins that
+// against golden hashes recorded from that scheduler.
 
 #ifndef UDC_SRC_CORE_REGION_ROUTER_H_
 #define UDC_SRC_CORE_REGION_ROUTER_H_
@@ -37,8 +42,8 @@ namespace udc {
 
 class RegionRouter {
  public:
-  // `base` is the per-cell scheduler configuration; its `cell` field is
-  // overwritten per instance. Requires a region-partitioned topology.
+  // `base` is every cell scheduler's configuration. Requires a topology
+  // with at least one region and one cell.
   RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
                Fabric* fabric, EnvManager* env_manager,
                AttestationService* attestation, const PriceList* prices,
@@ -51,6 +56,8 @@ class RegionRouter {
   // rejection.
   Result<std::unique_ptr<Deployment>> Deploy(TenantId tenant,
                                              const AppSpec& spec);
+  // Shared-spec overload: the deployment references the caller's immutable
+  // spec instead of copying it (keep it unchanged while deployments use it).
   Result<std::unique_ptr<Deployment>> Deploy(
       TenantId tenant, std::shared_ptr<const AppSpec> spec);
   // Batched deploys share one demand/rack-score cache across the batch
@@ -74,6 +81,10 @@ class RegionRouter {
   int64_t RegionDeploys(int r) const;
   int64_t cross_region_deploys() const;
   int64_t region_fallbacks() const;
+  // The same three counts one level down, for cells.
+  int64_t CellDeploys(int c) const;
+  int64_t cross_cell_deploys() const;
+  int64_t cell_fallbacks() const;
 
  private:
   // Home region: the spec's first region affinity when one is declared,
@@ -101,16 +112,21 @@ class RegionRouter {
   int region_count_;
   bool record_place_latency_;
 
-  // Interned per-region series/labels: the router is on the per-deploy
-  // hot path, so nothing here formats strings per call.
+  // Interned per-region and per-cell series/labels: the router is on the
+  // per-deploy hot path, so nothing here formats strings per call.
   std::vector<CounterHandle> region_deploys_;
   CounterHandle cross_region_deploys_;
   CounterHandle region_fallbacks_;
-  std::vector<uint32_t> region_span_sets_;  // {{"region", r}} for sched.deploy
-  // Only interned when record_place_latency: aggregate + per-region
-  // sketches (the federation bench's slo.sched.region_place_p99 source).
+  std::vector<CounterHandle> cell_deploys_;
+  CounterHandle cross_cell_deploys_;
+  CounterHandle cell_fallbacks_;
+  // {{"region", r}, {"cell", c}} per cell, for the sched.deploy span.
+  std::vector<uint32_t> cell_span_sets_;
+  // Only interned when record_place_latency: the unlabelled aggregate
+  // sched.region_place_latency_us plus per-region and per-cell sketches.
   HistogramHandle place_latency_us_;
   std::vector<HistogramHandle> region_place_latency_us_;
+  std::vector<HistogramHandle> cell_place_latency_us_;
 };
 
 }  // namespace udc

@@ -75,9 +75,8 @@ RepairAction RepairService::RepairTask(const Placement& placement,
       (void)engine_.Release(dead);
 
       PlacementTxn txn = engine_.Begin("repair_task");
-      AllocationConstraints constraints;
-      constraints.preferred_rack = placement.rack;
-      constraints.single_device = IsComputeKind(alloc.kind);
+      AllocationConstraints constraints = ConstraintsFor(
+          aspects, ModuleKind::kTask, alloc.kind, placement.rack);
       constraints.avoid.push_back(failed);
       auto replacement =
           txn.AllocateFrom(pool, alloc.tenant, amount, constraints);
@@ -176,9 +175,9 @@ RepairAction RepairService::RepairData(Placement& placement, DeviceId failed) {
       (void)engine_.Release(dead);
 
       PlacementTxn txn = engine_.Begin("repair_data");
-      AllocationConstraints constraints;
-      constraints.preferred_rack = placement.rack;
-      constraints.single_device = true;
+      AllocationConstraints constraints = ConstraintsFor(
+          deployment_->spec().AspectsFor(placement.module), ModuleKind::kData,
+          alloc.kind, placement.rack);
       constraints.avoid = placement.replica_devices;
       auto replacement =
           txn.AllocateFrom(pool, alloc.tenant, amount, constraints);

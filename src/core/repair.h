@@ -10,6 +10,10 @@
 //   data:   fail the replica in the module's store (readers fail over) and
 //           re-establish the declared replication factor on a new device.
 //
+// Replacements are allocated under the same aspect-derived constraints as
+// admission (ConstraintsFor, src/core/placement_engine.h), so a
+// tenancy=single module stays on an exclusive device after repair.
+//
 // Every action is recorded so tests and benches can audit recovery.
 
 #ifndef UDC_SRC_CORE_REPAIR_H_

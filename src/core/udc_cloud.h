@@ -1,8 +1,8 @@
 // UdcCloud: the top-level facade — "the cloud" a UDC user talks to.
 //
 // Assembles the full provider stack (simulation, disaggregated datacenter,
-// fabric, switch programs, environment manager, attestation, scheduler,
-// billing) behind a small API:
+// fabric, switch programs, environment manager, attestation, the
+// region -> cell -> rack placement hierarchy, billing) behind a small API:
 //
 //   UdcCloud cloud(UdcCloudConfig{});
 //   TenantId hospital = cloud.RegisterTenant("hospital");
@@ -23,10 +23,8 @@
 #include <vector>
 
 #include "src/core/billing.h"
-#include "src/core/cell_router.h"
 #include "src/core/region_router.h"
 #include "src/core/runtime.h"
-#include "src/core/scheduler.h"
 #include "src/core/verifier.h"
 #include "src/hw/failure.h"
 
@@ -47,8 +45,8 @@ struct UdcCloudConfig {
   // Disabled by default: the legacy (kind, tenant) pool is the
   // differential oracle the store is gated against.
   EnvStoreConfig env_store;
-  // Default WAN link between regions (applies only when
-  // DatacenterConfig::regions > 0; per-link overrides via
+  // Default WAN link between regions (only priced when
+  // DatacenterConfig::regions > 1; per-link overrides via
   // fabric().SetWanLink). Asymmetric routes get their params per direction.
   WanLinkParams wan;
   std::string vendor_key_seed = "udc-vendor-root-v1";
@@ -65,9 +63,10 @@ class UdcCloud {
   TenantId RegisterTenant(const std::string& name);
   const std::string& TenantName(TenantId id) const;
 
-  // --- Deployment. With DatacenterConfig::cells > 0 deploys route through
-  // the hierarchical control plane (CellRouter over per-cell schedulers);
-  // otherwise the single scheduler places directly.
+  // --- Deployment. Every deploy routes through the placement hierarchy
+  // (RegionRouter over per-cell schedulers). DatacenterConfig::cells and
+  // ::regions below 1 are read as 1: an unpartitioned datacenter is one
+  // region holding one cell.
   Result<std::unique_ptr<Deployment>> Deploy(TenantId tenant,
                                              const AppSpec& spec);
   // Shared-spec overload: the deployment references the caller's immutable
@@ -91,12 +90,9 @@ class UdcCloud {
   Fabric& fabric() { return fabric_; }
   EnvManager& envs() { return env_manager_; }
   AttestationService& attestation() { return attestation_; }
-  UdcScheduler& scheduler() { return scheduler_; }
-  // Non-null only when the datacenter is cell-partitioned.
-  CellRouter* cell_router() { return cell_router_.get(); }
-  // Non-null only when the datacenter is region-partitioned; when set it
-  // is the deploy entry point (above the cells path).
-  RegionRouter* region_router() { return region_router_.get(); }
+  // The deploy path: region and cell routing, per-cell schedulers, and the
+  // placement engine every deploy transaction comes from.
+  RegionRouter& region_router() { return region_router_; }
   BillingEngine& billing() { return billing_; }
   FailureInjector& failures() { return failure_injector_; }
   SwitchSequencer& sequencer() { return sequencer_; }
@@ -112,9 +108,7 @@ class UdcCloud {
   Key256 vendor_root_;
   AttestationService attestation_;
   PriceList prices_;
-  UdcScheduler scheduler_;
-  std::unique_ptr<CellRouter> cell_router_;  // only when cells > 0
-  std::unique_ptr<RegionRouter> region_router_;  // only when regions > 0
+  RegionRouter region_router_;
   BillingEngine billing_;
   FailureInjector failure_injector_;
   FulfillmentVerifier verifier_;

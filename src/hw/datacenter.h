@@ -38,11 +38,14 @@ struct DatacenterConfig {
   RackConfig rack;
   TopologyParams topology;
   // Partition racks into this many control-plane cells (contiguous rack
-  // ranges; see Topology::SetCellCount). 0 = unpartitioned single scheduler.
+  // ranges; see Topology::SetCellCount), each placed by its own scheduler
+  // under the region router. UdcCloud reads values below 1 as 1: one cell
+  // spanning every rack.
   int cells = 0;
   // Partition cells into this many federation regions (contiguous cell
-  // ranges; see Topology::SetRegionCount). 0 = single-region world: no WAN
-  // links, no region router, env store never goes remote.
+  // ranges; see Topology::SetRegionCount). UdcCloud reads values below 1 as
+  // 1: a single-region world where no WAN link is used and the env store
+  // never goes remote.
   int regions = 0;
 };
 

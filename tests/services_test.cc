@@ -104,6 +104,32 @@ TEST_F(ServiceTest, RepairRebuildsFailedReplica) {
   EXPECT_EQ(deployment_->StoreOf(s1)->config().replication_factor, 3);
 }
 
+TEST_F(ServiceTest, RepairKeepsExclusiveTenancy) {
+  // A4 declares tenancy=single: admission put its cpu slice on a device
+  // reserved for this tenant, and the replacement must be reserved too, or
+  // other tenants could be co-located with it after the repair.
+  CheckpointStore checkpoints;
+  RepairService repair(cloud_->sim(), deployment_.get(), &cloud_->envs(),
+                       &checkpoints);
+  const ModuleId a4 = spec_->graph.IdOf("A4");
+  ResourcePool& cpus = cloud_->datacenter().pool(DeviceKind::kCpuBlade);
+  const DeviceId victim = deployment_->FindUnit(deployment_->PlacementOf(a4)->unit)
+                              ->PrimaryDevice(ResourceKind::kCpu);
+  ASSERT_TRUE(cpus.FindDevice(victim)->exclusive());
+  cpus.FindDevice(victim)->set_health(DeviceHealth::kFailed);
+
+  (void)repair.HandleDeviceFailure(victim);
+  const DeviceId replacement =
+      deployment_->FindUnit(deployment_->PlacementOf(a4)->unit)
+          ->PrimaryDevice(ResourceKind::kCpu);
+  ASSERT_NE(replacement, victim);
+  const Device* device = cpus.FindDevice(replacement);
+  ASSERT_NE(device, nullptr);
+  EXPECT_TRUE(device->exclusive());
+  EXPECT_EQ(device->exclusive_tenant(), tenant_);
+  EXPECT_EQ(device->tenant_count(), 1u);
+}
+
 TEST_F(ServiceTest, RepairAttachesToInjector) {
   CheckpointStore checkpoints;
   RepairService repair(cloud_->sim(), deployment_.get(), &cloud_->envs(),

@@ -277,21 +277,16 @@ int Slo(const std::string& text) {
   return cloud.sim()->slos().AllOk() ? 0 : kExitRuntime;
 }
 
-// `udcctl cells`: the hierarchical control plane made visible. Builds a
-// cell-partitioned cloud, churns the spec through the router, and prints a
-// per-cell capacity/latency table — the operator's view of how the router
-// spread the load and what each cell's placement tail looks like.
+// `udcctl cells`: the cell level of the placement hierarchy made visible.
+// Builds a cell-partitioned cloud, churns the spec through the router, and
+// prints a per-cell capacity/latency table — the operator's view of how the
+// router spread the load and what each cell's placement tail looks like.
 int Cells(const std::string& text, int racks, int cells, int deploys) {
   udc::UdcCloudConfig config;
   config.datacenter.racks = racks;
   config.datacenter.cells = cells;
   config.scheduler.record_place_latency = true;
   udc::UdcCloud cloud(config);
-  if (cloud.cell_router() == nullptr) {
-    std::fprintf(stderr, "cells: need at least 1 cell (got --cells %d)\n",
-                 cells);
-    return kExitUsage;
-  }
 
   const auto spec = udc::ParseAppSpec(text);
   if (!spec.ok()) {
@@ -315,7 +310,7 @@ int Cells(const std::string& text, int racks, int cells, int deploys) {
     cloud.sim()->RunToCompletion();
   }
 
-  udc::CellRouter* router = cloud.cell_router();
+  udc::RegionRouter* router = &cloud.region_router();
   const udc::Topology& topo = cloud.datacenter().topology();
   const udc::ResourcePool& cpu_pool =
       cloud.datacenter().pool(udc::DeviceKind::kCpuBlade);
@@ -393,18 +388,13 @@ int Regions(const std::string& text, int racks, int cells, int regions,
   config.env_store.share_across_tenants = true;
   config.scheduler.record_place_latency = true;
   udc::UdcCloud cloud(config);
-  if (cloud.region_router() == nullptr) {
-    std::fprintf(stderr, "regions: need at least 1 region (got --regions %d)\n",
-                 regions);
-    return kExitUsage;
-  }
 
   const auto spec = udc::ParseAppSpec(text);
   if (!spec.ok()) {
     std::fprintf(stderr, "spec: %s\n", spec.status().ToString().c_str());
     return kExitRuntime;
   }
-  udc::RegionRouter* router = cloud.region_router();
+  udc::RegionRouter* router = &cloud.region_router();
   // One copy of the spec per region, whole-app pinned there via the region
   // affinity aspect, so demand provably lands in every region and the
   // cross-region store tier gets exercised.
@@ -693,6 +683,8 @@ int main(int argc, char** argv) {
       if ((arg == "--racks" || arg == "--cells" || arg == "--deploys") &&
           i + 1 < argc) {
         const int value = std::atoi(argv[++i]);
+        // Counts must be positive: the cloud reads --cells 0 as one cell,
+        // so it is rejected here as a usage error rather than run.
         if (value <= 0) {
           return Usage();
         }
